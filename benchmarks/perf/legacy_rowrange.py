@@ -393,12 +393,15 @@ class LegacyGapHeapRangeBuilder:
 
 # -- seed ColumnStore hot paths (pre-vectorization) -----------------------------
 
-def legacy_read_ranges(self, ranges, rms):
+def legacy_read_ranges(self, ranges, rms, rows=None):
     """Seed ColumnStore.read_ranges: nested Python while loop per range.
 
     Bound as a method onto the live ColumnStore class for legacy-mode
     scan benchmarking; works with any RangeList exposing iteration.
+    ``rows`` (the caller's precomputed row ids) is accepted and ignored,
+    so the seed path still walks the ranges itself.
     """
+    del rows
     from repro.storage.dtypes import DataType
 
     if not ranges:

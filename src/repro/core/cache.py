@@ -25,6 +25,15 @@ advancing the watermark, so a reader that raced an extension sees a
 superset-safe (possibly slightly stale) state, never a torn one.
 Mutation outside a ``with self._lock`` block (or a helper documented as
 "caller holds ``_lock``") is rejected by linter rule RP007.
+
+Byte accounting: the cache keeps an exact running total of its entries'
+payload bytes (``total_nbytes``, the Table 3 metric and the quantity the
+``max_bytes`` budget caps).  The total changes only under ``_lock``, at
+the few places a payload enters or leaves the table: a slice-state
+install or extension (by the state's size delta), a drop, an eviction
+and a restored install.  Reading it is O(1), so the budget check that
+follows every install does not walk the live entries' slice states;
+under ``REPRO_VALIDATE`` the invariant checker re-sums them and compares.
 """
 
 from __future__ import annotations
@@ -73,6 +82,8 @@ class PredicateCache:
         self.config = config if config is not None else PredicateCacheConfig()
         self.policy = policy if policy is not None else AlwaysAdmit()
         self._entries: "OrderedDict[ScanKey, CacheEntry]" = OrderedDict()
+        # Running sum of ``entry.nbytes`` over ``_entries`` (module doc).
+        self._nbytes = 0
         self.stats = CacheStats()
         self.reuse_stats = ReuseStats()
         self._watched: Dict[str, object] = {}
@@ -188,7 +199,11 @@ class PredicateCache:
             entry.hits, entry.rows_qualifying, entry.rows_considered = (
                 int(stats[0]), int(stats[1]), int(stats[2]),
             )
+            replaced = self._entries.get(key)
+            if replaced is not None:
+                self._nbytes -= replaced.nbytes
             self._entries[key] = entry
+            self._nbytes += entry.nbytes
             if table_layout is not None:
                 self._table_layouts.setdefault(key.table, int(table_layout))
             self._evict_if_needed()
@@ -392,11 +407,13 @@ class PredicateCache:
                 return
             state = entry.slice_states[slice_id]
             if state is None:
-                entry.slice_states[slice_id] = self._new_state(
-                    qualifying, scanned_upto
-                )
+                state = self._new_state(qualifying, scanned_upto)
+                entry.slice_states[slice_id] = state
+                self._nbytes += state.nbytes
             else:
+                before = state.nbytes
                 state.extend(qualifying, scanned_upto)
+                self._nbytes += state.nbytes - before
                 self.stats.extensions += 1
             if self._store is not None:
                 self._store.log_state(
@@ -506,6 +523,8 @@ class PredicateCache:
     def _drop(self, key: ScanKey) -> None:
         """Caller holds ``_lock``."""
         entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._nbytes -= entry.nbytes
         self.policy.forget(key)
         self._log_drop(entry)
 
@@ -538,14 +557,9 @@ class PredicateCache:
         like any other drop.
         """
         with self._lock:
-            total = self.total_nbytes
             released = 0
-            while len(self._entries) > 1 and total > budget_bytes:
-                _, evicted = self._entries.popitem(last=False)
-                total -= evicted.nbytes
-                released += evicted.nbytes
-                self._log_drop(evicted)
-                self.stats.evictions += 1
+            while len(self._entries) > 1 and self._nbytes > budget_bytes:
+                released += self._evict_lru()
             if _inv.ACTIVE:
                 _inv.check_cache(self)
             return released
@@ -554,21 +568,25 @@ class PredicateCache:
         """Caller holds ``_lock``."""
         limit = self.config.max_entries
         while limit is not None and len(self._entries) > limit:
-            _, evicted = self._entries.popitem(last=False)
-            self._log_drop(evicted)
-            self.stats.evictions += 1
+            self._evict_lru()
         max_bytes = self.config.max_bytes
         if max_bytes is not None:
-            # Compute the payload total once and decrement per eviction —
-            # re-summing every entry per loop iteration is quadratic.
-            total = self.total_nbytes
-            while len(self._entries) > 1 and total > max_bytes:
-                _, evicted = self._entries.popitem(last=False)
-                total -= evicted.nbytes
-                self._log_drop(evicted)
-                self.stats.evictions += 1
+            while len(self._entries) > 1 and self._nbytes > max_bytes:
+                self._evict_lru()
         if _inv.ACTIVE:
             _inv.check_cache(self)
+
+    def _evict_lru(self) -> int:
+        """Evict the least recently used entry; return its payload bytes.
+
+        Caller holds ``_lock``.
+        """
+        _, evicted = self._entries.popitem(last=False)
+        nbytes = evicted.nbytes
+        self._nbytes -= nbytes
+        self._log_drop(evicted)
+        self.stats.evictions += 1
+        return nbytes
 
     # -- observability -------------------------------------------------------------
 
@@ -632,9 +650,12 @@ class PredicateCache:
 
     @property
     def total_nbytes(self) -> int:
-        """Total payload bytes across entries (the Table 3 metric)."""
+        """Total payload bytes across entries (the Table 3 metric).
+
+        The running total kept under ``_lock`` (module doc) — O(1).
+        """
         with self._lock:
-            return sum(entry.nbytes for entry in self._entries.values())
+            return self._nbytes
 
     def entries(self) -> List[CacheEntry]:
         with self._lock:

@@ -379,7 +379,7 @@ def _run_slices_serial(
     """Scan every slice on the calling thread, in slice order."""
     rms = table.rms
     results: List["_SliceResult"] = []
-    rms.begin_scan_phase(concurrent=False)
+    rms.begin_scan_phase()
     try:
         for slice_id, data_slice in enumerate(table.slices):
             context = contexts[slice_id]
@@ -437,7 +437,7 @@ def _run_slices_parallel(
     # storage bindings for the duration of their slice, then restore —
     # pool threads are shared across concurrent scans, and the inline
     # path runs tasks on the coordinator thread itself.
-    phase = rms.begin_scan_phase(concurrent=True)
+    phase = rms.begin_scan_phase()
     query_context = rms.current_query_context()
 
     def make_task(
@@ -745,8 +745,13 @@ def _scan_slice(
         qualifying = RangeList.empty()
         q_plain = RangeList.empty()
     else:
+        # The candidates' row ids, materialized once and shared by every
+        # scan-column gather, the visibility check and range building.
+        row_ids = candidates.to_row_ids()
         batch = {
-            name: data_slice.columns[name].read_ranges(candidates, table.rms)
+            name: data_slice.columns[name].read_ranges(
+                candidates, table.rms, row_ids
+            )
             for name in scan_columns
         }
         if isinstance(predicate, TruePredicate) and not scan_columns:
@@ -755,7 +760,7 @@ def _scan_slice(
             pred_mask = predicate.evaluate(batch)
             if pred_mask.shape == ():  # scalar result of an empty batch
                 pred_mask = np.full(candidates.num_rows, bool(pred_mask))
-        vis_mask = data_slice.visibility_mask(candidates, txid)
+        vis_mask = data_slice.visibility_mask(candidates, txid, row_ids)
         plain_mask = pred_mask & vis_mask
         full_mask = plain_mask
         for sj in semijoins:
@@ -764,8 +769,8 @@ def _scan_slice(
             counters.bloom_probes += len(keys)
             counters.bloom_positives += int(np.count_nonzero(bloom_mask))
             full_mask = full_mask & bloom_mask
-        row_ids = candidates.to_row_ids()
-        qualifying = RangeList.from_rows(row_ids[full_mask])
+        qualifying_rows = row_ids[full_mask]
+        qualifying = RangeList.from_rows(qualifying_rows)
         q_plain = (
             qualifying
             if full_mask is plain_mask
@@ -798,7 +803,7 @@ def _scan_slice(
     if qualifying:
         for name in gather_columns:
             materialized[name] = data_slice.columns[name].read_ranges(
-                qualifying, table.rms
+                qualifying, table.rms, qualifying_rows
             )
 
     return qualifying, q_plain, materialized, extras

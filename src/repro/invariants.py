@@ -199,6 +199,10 @@ def check_cache(cache: Any) -> None:
       slipped through), and generations never go negative;
     * policy accounting: a bounded admission policy never tracks more
       keys than its configured bound;
+    * byte accounting: the cache's running payload total
+      (``total_nbytes``) equals the sum re-computed from the entries —
+      checked last; the ``max_bytes`` check above uses the re-computed
+      sum;
     * reuse provenance (DESIGN.md §14): no ephemeral serving object is
       ever installed as an entry (its bytes would double-count against
       the budget), every entry's provenance tag is known, and derived
@@ -209,11 +213,12 @@ def check_cache(cache: Any) -> None:
     limit = cache.config.max_entries
     if limit is not None and len(entries) > limit:
         _fail(f"{len(entries)} live entries exceed max_entries {limit}")
+    # Re-summed from the entries, independently of the running total
+    # the cache keeps (compared last, below).
+    recomputed = sum(entry.nbytes for entry in entries)
     max_bytes = cache.config.max_bytes
-    if max_bytes is not None and len(entries) > 1:
-        total = cache.total_nbytes
-        if total > max_bytes:
-            _fail(f"total payload {total} B exceeds max_bytes {max_bytes} B")
+    if max_bytes is not None and len(entries) > 1 and recomputed > max_bytes:
+        _fail(f"total payload {recomputed} B exceeds max_bytes {max_bytes} B")
     for table_name, generation in cache._generations.items():
         if generation < 0:
             _fail(f"negative generation {generation} for table {table_name!r}")
@@ -253,6 +258,13 @@ def check_cache(cache: Any) -> None:
     if tracked is not None and max_tracked is not None and tracked > max_tracked:
         _fail(
             f"admission policy tracks {tracked} keys, bound is {max_tracked}"
+        )
+    # Last, so tests that plant entries straight into ``_entries`` (which
+    # bypasses the running total) still see the violation they seed.
+    running = cache.total_nbytes
+    if running != recomputed:
+        _fail(
+            f"running payload total {running} B != recomputed {recomputed} B"
         )
 
 

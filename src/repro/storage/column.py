@@ -163,31 +163,39 @@ class ColumnStore:
     def tail_values(self) -> np.ndarray:
         return self._to_array(self._tail)
 
-    def read_ranges(self, ranges: RangeList, rms: ManagedStorage) -> np.ndarray:
+    def read_ranges(
+        self,
+        ranges: RangeList,
+        rms: ManagedStorage,
+        rows: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Gather the column's values for the given local row ranges.
 
         Sealed blocks are fetched through managed storage exactly once
         per call (the per-access counting the cost model needs); tail
         rows are served from the insert buffer without block accounting.
 
-        Block coverage is computed vectorially: one ``searchsorted``-style
-        division maps range bounds onto block indices, each touched block
-        is decoded once, and the qualifying rows of all ranges are
-        gathered per block — no per-range Python loop.
+        ``rows`` is ``ranges.to_row_ids()`` when the caller already has
+        it: a slice scan materializes its candidate row ids once and
+        hands them to every column it reads, to the visibility check
+        and to range building.  Block coverage comes from the sorted row
+        ids in one vectorized pass, and the touched blocks are read with
+        one :meth:`ManagedStorage.read_blocks` call — no per-range
+        Python loop, no per-block lock round trip.
         """
         if not ranges:
             return self._to_array([])
+        if rows is None:
+            rows = ranges.to_row_ids()
         sealed_rows = self.num_sealed_rows
-        sealed_part = ranges.clip(0, sealed_rows)
-        tail_part = ranges.clip(sealed_rows, self.num_rows)
-
+        # rows is sorted: sealed rows first, then tail rows, then any
+        # rows past the column's end (dropped, as a clip would).
+        cut, stop = np.searchsorted(rows, (sealed_rows, self.num_rows))
         pieces: List[np.ndarray] = []
-        if sealed_part:
-            pieces.append(self._gather_sealed(sealed_part, rms))
-        if tail_part:
-            tail = self.tail_values()
-            rows = tail_part.shift(-sealed_rows).to_row_ids()
-            pieces.append(tail[rows])
+        if cut:
+            pieces.append(self._gather_sealed(rows[:cut], rms))
+        if stop > cut:
+            pieces.append(self.tail_values()[rows[cut:stop] - sealed_rows])
         if not pieces:
             return self._to_array([])
         if self.dtype is DataType.STRING:
@@ -196,30 +204,29 @@ class ColumnStore:
             return pieces[0]
         return np.concatenate(pieces)
 
-    def _gather_sealed(self, ranges: RangeList, rms: ManagedStorage) -> np.ndarray:
-        """Decode each touched sealed block once, gather all covered rows."""
+    def _gather_sealed(self, rows: np.ndarray, rms: ManagedStorage) -> np.ndarray:
+        """Read each touched sealed block once, gather the given rows.
+
+        ``rows`` is sorted, so each touched block's rows form one
+        contiguous run of it.
+        """
         size = self.rows_per_block
-        bounds = ranges.bounds
-        # Touched blocks as merged block-index intervals (vectorized).
-        block_bounds = np.empty_like(bounds)
-        block_bounds[:, 0] = bounds[:, 0] // size
-        block_bounds[:, 1] = (bounds[:, 1] - 1) // size + 1
-        touched = RangeList.from_bounds(block_bounds).to_row_ids()
-        decoded = [
-            rms.read_block(self._block_key(int(b)), self.blocks[int(b)])
-            for b in touched
-        ]
-        rows = ranges.to_row_ids()
         block_of = rows // size
         offsets = rows - block_of * size
+        run_starts = np.flatnonzero(block_of[1:] != block_of[:-1]) + 1
+        touched = block_of[np.concatenate(([0], run_starts))].tolist()
+        decoded = rms.read_blocks(
+            [self._block_key(b) for b in touched],
+            [self.blocks[b] for b in touched],
+        )
         out_dtype = object if self.dtype is DataType.STRING else decoded[0].dtype
         out = np.empty(len(rows), dtype=out_dtype)
-        # rows is sorted, so each block's rows form one contiguous chunk.
-        cuts = np.searchsorted(block_of, touched, side="right")
+        cuts = run_starts.tolist()
+        cuts.append(len(rows))
         lo = 0
         for values, hi in zip(decoded, cuts):
             out[lo:hi] = values[offsets[lo:hi]]
-            lo = int(hi)
+            lo = hi
         return out
 
     def read_all(self, rms: ManagedStorage) -> np.ndarray:

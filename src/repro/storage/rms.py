@@ -30,6 +30,18 @@ Concurrency model (DESIGN.md §12):
   Serial scans run the same phased path, which keeps the two modes
   bit-identical by construction.  Within a scan a block key belongs to
   exactly one slice, so one phase's reads never race on the same key.
+* **Batched phased reads.**  The scan path reads a (slice, column)'s
+  touched blocks through one :meth:`ManagedStorage.read_blocks` call.
+  Inside a phase it walks the keys in order and takes the storage lock
+  once per run of local hits: the run's hits are served, counted with
+  one counter bump and logged with one ``extend``.  A miss ends the run
+  — it is logged with the run, fetched outside the lock exactly like
+  :meth:`ManagedStorage.read_block` fetches it, counted, and then the
+  walk resumes.  The access log, the counters (also when a fetch raises
+  mid-batch), the remote/local split, the LRU settle order and the
+  fault injector's draw order are therefore those of a per-block
+  ``read_block`` loop over the same keys.  Outside a phase the batch is
+  exactly that loop.
 * **One storage lock.**  A single always-on ``threading.Lock`` guards
   the decoded-block cache, the stats counters, and the per-query stat
   sinks.  Decode work and fetch-latency sleeps run *outside* the lock,
@@ -53,7 +65,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -226,17 +238,14 @@ class ManagedStorage:
 
     # -- scan phases (deferred LRU settlement) ---------------------------------
 
-    def begin_scan_phase(self, concurrent: bool = False) -> _ScanPhase:
+    def begin_scan_phase(self) -> _ScanPhase:
         """Start access logging for one table scan (see module doc).
 
         The phase is bound to the calling (coordinator) thread; worker
         threads adopt it per task via :meth:`adopt_scan_context`.
         Phases do not nest on one thread — a scan owns its thread's
         storage view until its barrier calls :meth:`end_scan_phase`.
-        ``concurrent`` is accepted for compatibility; the storage lock
-        now serializes phase bookkeeping in both modes.
         """
-        del concurrent
         if getattr(self._local, "phase", None) is not None:
             raise RuntimeError("a scan phase is already active")
         phase = _ScanPhase()
@@ -355,6 +364,50 @@ class ManagedStorage:
             self._bump("bytes_fetched", block.nbytes)
             self._cache[key] = values
         return values
+
+    def read_blocks(
+        self, keys: Sequence[BlockKey], blocks: Sequence[EncodedBlock]
+    ) -> List[np.ndarray]:
+        """Read several blocks of one slice, in order (see module doc).
+
+        Equivalent to ``[read_block(k, b) for k, b in zip(keys, blocks)]``
+        in values, counters, access log and fault draws; inside a scan
+        phase it takes the storage lock once per run of local hits
+        instead of once per block.
+        """
+        phase = getattr(self._local, "phase", None)
+        if phase is None:
+            return [self.read_block(key, block) for key, block in zip(keys, blocks)]
+        out: List[np.ndarray] = []
+        cache = self._cache
+        count = len(keys)
+        i = 0
+        while i < count:
+            with self._lock:
+                start = i
+                while i < count:
+                    cached = cache.get(keys[i])
+                    if cached is None:
+                        break
+                    out.append(cached)
+                    i += 1
+                # A miss is logged with the run, before its fetch — the
+                # point at which read_block logs it.
+                phase.accesses.setdefault(keys[start][1], []).extend(
+                    keys[start : min(i + 1, count)]
+                )
+                if i > start:
+                    self._bump("local_hits", i - start)
+            if i < count:
+                key, block = keys[i], blocks[i]
+                values = self._fetch(key, block)
+                with self._lock:
+                    self._bump("remote_fetches", 1)
+                    self._bump("bytes_fetched", block.nbytes)
+                    self._cache[key] = values
+                out.append(values)
+                i += 1
+        return out
 
     def _fetch(self, key: BlockKey, block: EncodedBlock) -> np.ndarray:
         if self.fetch_delay_seconds > 0.0:

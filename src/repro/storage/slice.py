@@ -5,6 +5,15 @@ nodes (§4.2.1).  Each :class:`DataSlice` owns its rows end-to-end:
 column stores, MVCC timestamps, and local row numbering starting at 0.
 Appends always go to the slice's end, which is the property that keeps
 predicate-cache entries valid under inserts (§4.3.1).
+
+Each slice also keeps a two-number MVCC summary: how many of its rows
+carry a delete stamp, and the newest creating txid.  While no row is
+deleted and every row was created at or before a reader's txid, every
+row is visible to that reader, so :meth:`DataSlice.visibility_mask`
+answers without gathering the xmin/xmax columns — the common case of
+an append-only slice.  The summary is kept by every writer of those
+columns: :meth:`append_rows`, :meth:`mark_deleted`, :meth:`vacuum` and
+:meth:`permute`.
 """
 
 from __future__ import annotations
@@ -22,6 +31,8 @@ __all__ = ["DataSlice", "INFINITY_TX"]
 
 # Sentinel "never deleted" transaction id.
 INFINITY_TX = np.iinfo(np.int64).max
+# The MVCC summary's newest xmin of a slice with no rows.
+_NO_TX = int(np.iinfo(np.int64).min)
 
 
 class DataSlice:
@@ -48,6 +59,9 @@ class DataSlice:
         self._xmin = GrowableArray(np.dtype(np.int64))
         self._xmax = GrowableArray(np.dtype(np.int64))
         self.num_rows = 0
+        # MVCC summary (module doc): rows with a delete stamp, newest xmin.
+        self._deleted_rows = 0
+        self._max_xmin = _NO_TX
 
     # -- writes -----------------------------------------------------------------
 
@@ -74,6 +88,8 @@ class DataSlice:
             return RangeList.empty()
         for name, values in rows.items():
             self.columns[name].append(values, rms)
+        # Raised before the rows become visible to the scan path.
+        self._max_xmin = max(self._max_xmin, int(txid))
         self._xmin.append_many(np.full(count, txid, dtype=np.int64))
         self._xmax.append_many(np.full(count, INFINITY_TX, dtype=np.int64))
         start = self.num_rows
@@ -85,18 +101,32 @@ class DataSlice:
         local_rows = np.asarray(local_rows, dtype=np.int64)
         xmax = self._xmax.values
         alive = local_rows[xmax[local_rows] == INFINITY_TX]
+        # Counted before the stamps land, so the fast path is off first.
+        self._deleted_rows += int(len(alive))
         xmax[alive] = txid
         return int(len(alive))
 
     # -- visibility ----------------------------------------------------------------
 
-    def visibility_mask(self, ranges: RangeList, txid: int) -> np.ndarray:
+    def visibility_mask(
+        self,
+        ranges: RangeList,
+        txid: int,
+        rows: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Visibility of each row in ``ranges`` (concatenated order).
 
         A row is visible to ``txid`` when it was created by a
         transaction ``<= txid`` and not deleted by one ``<= txid``.
+        ``rows`` is ``ranges.to_row_ids()`` when the caller already has
+        it.  A slice with no deleted rows and no row newer than ``txid``
+        is all visible: the mask is built without reading xmin/xmax.
         """
-        rows = ranges.to_row_ids()
+        if self._deleted_rows == 0 and self._max_xmin <= txid:
+            count = ranges.num_rows if rows is None else len(rows)
+            return np.ones(count, dtype=bool)
+        if rows is None:
+            rows = ranges.to_row_ids()
         xmin = self._xmin.values[rows]
         xmax = self._xmax.values[rows]
         return (xmin <= txid) & (xmax > txid)
@@ -128,10 +158,26 @@ class DataSlice:
         for column in self.columns.values():
             values = column.read_ranges(full, rms) if rms else _raw_read(column)
             column.rebuild(values[keep_rows], rms)
-        self._xmin.replace(self._xmin.values[keep_rows])
-        self._xmax.replace(self._xmax.values[keep_rows])
+        self._replace_mvcc(keep_rows)
         self.num_rows = int(len(keep_rows))
         return True
+
+    def permute(self, perm: np.ndarray, rms: ManagedStorage) -> None:
+        """Physically reorder the slice's rows: new row ``i`` is old row ``perm[i]``."""
+        full = RangeList.full(self.num_rows)
+        for column in self.columns.values():
+            values = column.read_ranges(full, rms)
+            column.rebuild(values[perm], rms)
+        self._replace_mvcc(perm)
+
+    def _replace_mvcc(self, picks: np.ndarray) -> None:
+        """Rebuild xmin/xmax from the given rows; recompute the summary."""
+        xmin = self._xmin.values[picks]
+        xmax = self._xmax.values[picks]
+        self._xmin.replace(xmin)
+        self._xmax.replace(xmax)
+        self._deleted_rows = int(np.count_nonzero(xmax != INFINITY_TX))
+        self._max_xmin = int(xmin.max()) if len(xmin) else _NO_TX
 
     # -- introspection ------------------------------------------------------------
 

@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.rowrange import RangeList
 from .dtypes import DataType
 from .rms import ManagedStorage
 from .slice import DataSlice
@@ -194,14 +193,8 @@ class Table:
         """
         permutations = order_of(self)
         for s, perm in zip(self.slices, permutations):
-            if perm is None:
-                continue
-            full = RangeList.full(s.num_rows)
-            for column in s.columns.values():
-                values = column.read_ranges(full, self.rms)
-                column.rebuild(values[perm], self.rms)
-            s._xmin.replace(s._xmin.values[perm])
-            s._xmax.replace(s._xmax.values[perm])
+            if perm is not None:
+                s.permute(perm, self.rms)
         self.layout_version += 1
         self.data_version += 1
         self.rms.invalidate_table(self.name)

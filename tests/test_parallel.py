@@ -110,7 +110,7 @@ class TestScanPhase:
             i: choose_codec(np.arange(4, dtype=np.int64) + i) for i in range(3)
         }
         keys = {i: ("t", i % 2, "c", i) for i in range(3)}
-        rms.begin_scan_phase(concurrent=True)
+        rms.begin_scan_phase()
         # Arrival order 2, 0, 1 — deliberately not slice order.
         for i in (2, 0, 1):
             rms.read_block(keys[i], blocks[i])

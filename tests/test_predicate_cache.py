@@ -1,5 +1,7 @@
 """The PredicateCache: keys, lookups, invalidation, eviction (§4)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -187,6 +189,137 @@ class TestEviction:
         join = ScanKey("t", "x", (SemiJoinDescriptor("a = b", "d"),))
         with pytest.raises(ValueError):
             cache.get_or_create(join, 1)
+
+
+class TestRunningByteTotal:
+    """``total_nbytes`` is a running total; it must equal the re-summed
+    payload after every kind of mutation, for both variants."""
+
+    @staticmethod
+    def check(cache):
+        assert cache.total_nbytes == sum(e.nbytes for e in cache.entries())
+
+    @pytest.mark.parametrize("variant", ["range", "bitmap"])
+    def test_tracks_every_mutation(self, variant):
+        cache = make_cache(
+            variant=variant, max_bytes=400, max_ranges_per_slice=4, bitmap_block_rows=8
+        )
+        check = self.check
+        dim = SemiJoinDescriptor("a = b", "dim")
+        # Installs: fresh states in several slices of several entries.
+        entries = []
+        for i in range(3):
+            entry = cache.get_or_create(ScanKey("t", f"x = {i}"), 2)
+            cache.record_slice_scan(entry, 0, RangeList([(0, 5), (9, 12)]), 40)
+            check(cache)
+            cache.record_slice_scan(entry, 1, RangeList([(3, 4)]), 40)
+            check(cache)
+            entries.append(entry)
+        join = cache.get_or_create(ScanKey("t", "x = 0", (dim,)), 2, {"dim": 1})
+        cache.record_slice_scan(join, 0, RangeList([(1, 2)]), 40)
+        check(cache)
+        # Extensions over appended tails grow (or coalesce) the states.
+        for upto in (64, 200, 900):
+            for entry in cache.entries():
+                cache.record_slice_scan(
+                    entry, 0, RangeList([(upto - 9, upto - 7), (upto - 3, upto)]), upto
+                )
+                check(cache)
+        # Byte-budget evictions: many fragmented installs under 400 B.
+        for i in range(3, 40):
+            entry = cache.get_or_create(ScanKey("u", f"y = {i}"), 1)
+            pieces = RangeList([(j * 16, j * 16 + 1) for j in range(i % 7 + 1)])
+            cache.record_slice_scan(entry, 0, pieces, 200)
+            check(cache)
+        assert cache.stats.evictions > 0
+        # Entry-count evictions.
+        budget = cache.config
+        cache.config = dataclasses.replace(budget, max_entries=3)
+        cache.get_or_create(ScanKey("v", "z = 1"), 1)
+        check(cache)
+        assert len(cache) <= 3
+        cache.config = budget
+        # Invalidations.
+        for i in range(3):
+            entry = cache.get_or_create(ScanKey("t", f"x = {i}"), 2)
+            cache.record_slice_scan(entry, 1, RangeList([(0, 2)]), 10)
+        join = cache.get_or_create(ScanKey("u", "y = 1", (dim,)), 1, {"dim": 1})
+        cache.record_slice_scan(join, 0, RangeList([(1, 2)]), 10)
+        check(cache)
+        assert cache.invalidate_build_side("dim") == 1
+        check(cache)
+        assert cache.invalidate_table("t") > 0
+        check(cache)
+        # Memory-pressure trim.
+        for i in range(4):
+            entry = cache.get_or_create(ScanKey("w", f"q = {i}"), 1)
+            cache.record_slice_scan(entry, 0, RangeList([(0, 3), (8, 9)]), 30)
+        before = cache.total_nbytes
+        released = cache.trim_to_bytes(before // 3)
+        assert released > 0 and cache.total_nbytes == before - released
+        check(cache)
+        # Restored installs, including one replacing a live entry.
+        survivor = cache.entries()[-1]
+        state = survivor.slice_states[0]
+        cache.install_restored(ScanKey("r", "p = 1"), 1, {}, {0: state})
+        check(cache)
+        cache.install_restored(survivor.key, 1, {}, {})
+        check(cache)
+        cache.install_restored(survivor.key, 1, {}, {0: state})
+        check(cache)
+        # Drops of every entry.
+        cache.clear()
+        check(cache)
+        assert cache.total_nbytes == 0
+
+    # Budgets small enough to evict, large enough to keep entries that
+    # later rounds extend.
+    @pytest.mark.parametrize("variant,budget", [("range", 5500), ("bitmap", 150)])
+    def test_tracks_engine_traffic(self, variant, budget):
+        """Installs, extensions after appends, join entries, build-side
+        DML and vacuum, driven through the engine's scan path."""
+        import numpy as np
+
+        from repro.engine import QueryEngine
+        from repro.storage import ColumnSpec, Database, DataType, TableSchema
+
+        db = Database(num_slices=2, rows_per_block=16)
+        for name, columns in (("fact", ("x", "d")), ("dim", ("y", "g"))):
+            specs = tuple(ColumnSpec(c, DataType.INT64) for c in columns)
+            db.create_table(TableSchema(name, specs))
+        cache = make_cache(variant=variant, max_bytes=budget, bitmap_block_rows=8)
+        engine = QueryEngine(db, predicate_cache=cache)
+        rng = np.random.default_rng(5)
+
+        def load(n):
+            engine.insert(
+                "fact", {"x": rng.integers(0, 100, n), "d": rng.integers(0, 10, n)}
+            )
+
+        load(300)
+        engine.insert("dim", {"y": np.arange(10), "g": np.arange(10) % 3})
+        queries = [f"select count(*) from fact where x < {c}" for c in (5, 30, 60, 90)]
+        queries.append(
+            "select count(*) from fact, dim"
+            " where fact.d = dim.y and dim.g = 1 and fact.x < 40"
+        )
+        for _ in range(3):
+            for sql in queries:
+                engine.execute(sql)
+                self.check(cache)
+            load(50)  # appended tails: the next round extends the entries
+            self.check(cache)
+        engine.insert("dim", {"y": [10], "g": [1]})  # build-side invalidation
+        self.check(cache)
+        engine.execute("delete from fact where x = 7")
+        db.vacuum(["fact"])  # layout invalidation
+        self.check(cache)
+        for sql in queries:
+            engine.execute(sql)
+            self.check(cache)
+        assert cache.total_nbytes > 0
+        stats = cache.stats
+        assert stats.extensions and stats.evictions and stats.invalidations
 
 
 class TestConfig:

@@ -200,3 +200,145 @@ class TestManagedStorage:
         delta = rms.stats.delta(before)
         assert delta.local_hits == 1
         assert delta.remote_fetches == 0
+
+
+class TestBatchedReads:
+    """``read_blocks`` must be indistinguishable from a ``read_block`` loop."""
+
+    KEYS = [("t", 1, "c", i) for i in range(8)]
+    WARM = (1, 2, 5, 6)  # cached before the batch; the rest miss
+
+    def _blocks(self):
+        from repro.storage.compression import choose_codec
+
+        return [choose_codec(np.arange(10, dtype=np.int64) * 10 + i) for i in range(8)]
+
+    def _storage(self, blocks, cache_capacity=5):
+        rms = ManagedStorage(cache_capacity=cache_capacity)
+        for i in self.WARM:
+            rms.read_block(self.KEYS[i], blocks[i])
+        return rms
+
+    def _run(self, rms, blocks, batched):
+        """One phased read of every key under a bound query context."""
+        query = rms.begin_query()
+        phase = rms.begin_scan_phase()
+        values, error = None, None
+        try:
+            if batched:
+                values = rms.read_blocks(self.KEYS, blocks)
+            else:
+                values = [rms.read_block(k, b) for k, b in zip(self.KEYS, blocks)]
+        except Exception as exc:  # compared, not swallowed
+            error = exc
+        log = {slice_id: list(keys) for slice_id, keys in phase.accesses.items()}
+        counts = rms.end_scan_phase()
+        rms.end_query(query)
+        return {
+            "values": values,
+            "error": (type(error), str(error)) if error else None,
+            "stats": vars(rms.stats),
+            "query_stats": vars(query.stats),
+            "log": log,
+            "counts": counts,
+            "lru": list(rms._cache),
+        }
+
+    def test_matches_per_block_loop(self):
+        blocks = self._blocks()
+        batched = self._run(self._storage(blocks), blocks, batched=True)
+        looped = self._run(self._storage(blocks), blocks, batched=False)
+        assert batched["error"] is None and looped["error"] is None
+        assert len(batched["values"]) == len(looped["values"]) == 8
+        for got, want in zip(batched["values"], looped["values"]):
+            assert np.array_equal(got, want)
+        for name in ("stats", "query_stats", "log", "counts", "lru"):
+            assert batched[name] == looped[name], name
+        assert batched["query_stats"]["local_hits"] == len(self.WARM)
+        assert batched["query_stats"]["remote_fetches"] == 8 - len(self.WARM)
+        assert batched["log"] == {1: self.KEYS}
+        # Capacity 5: the settle evicted the coldest of the 8 touched blocks.
+        assert len(batched["lru"]) == 5
+
+    def test_outside_a_phase_matches_per_block_loop(self):
+        blocks = self._blocks()
+        batched, looped = self._storage(blocks), self._storage(blocks)
+        got = batched.read_blocks(self.KEYS, blocks)
+        want = [looped.read_block(k, b) for k, b in zip(self.KEYS, blocks)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert vars(batched.stats) == vars(looped.stats)
+        assert list(batched._cache) == list(looped._cache)
+
+    def test_fault_mid_batch_matches_per_block_loop(self):
+        from repro.faults import FaultInjector, RetryPolicy, TransientStorageError
+
+        blocks = self._blocks()
+        outcomes, injectors = [], []
+        for batched in (True, False):
+            rms = self._storage(blocks)
+            # Draw 0 is block 0's clean fetch; draws 1-4 fail every
+            # attempt at block 3 (the second miss), mid-batch.
+            injector = FaultInjector(
+                seed=3, schedule={1: "error", 2: "error", 3: "error", 4: "error"}
+            )
+            rms.attach_faults(injector, RetryPolicy(max_attempts=4))
+            outcomes.append(self._run(rms, blocks, batched))
+            injectors.append(injector)
+        batched, looped = outcomes
+        assert batched["error"] is not None
+        assert batched["error"][0] is TransientStorageError
+        for name in ("error", "stats", "query_stats", "log", "counts", "lru"):
+            assert batched[name] == looped[name], name
+        # Blocks 1-2 hit, block 0 fetched, block 3 failed: 4 keys logged.
+        assert batched["log"] == {1: self.KEYS[:4]}
+        assert batched["query_stats"]["local_hits"] == 2
+        assert batched["query_stats"]["remote_fetches"] == 1
+        assert batched["query_stats"]["transient_errors"] == 4
+        assert injectors[0].reads_seen == injectors[1].reads_seen == 5
+        assert injectors[0].errors_injected == injectors[1].errors_injected
+
+    def test_concurrent_batches_lose_no_counts(self):
+        """Threads batch-reading overlapping blocks under their own phase
+        and query context: every read is counted once, globally and in
+        exactly one query sink."""
+        import sys
+        import threading
+
+        blocks = self._blocks()
+        rms = ManagedStorage(cache_capacity=3)
+        sinks, errors = [], []
+
+        def worker(seed):
+            try:
+                order = np.random.default_rng(seed).permutation(8).tolist()
+                for _ in range(40):
+                    query = rms.begin_query()
+                    rms.begin_scan_phase()
+                    try:
+                        rms.read_blocks(
+                            [self.KEYS[i] for i in order], [blocks[i] for i in order]
+                        )
+                    finally:
+                        rms.end_scan_phase()
+                        rms.end_query(query)
+                    sinks.append(query.stats)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(sinks) == 6 * 40
+        assert rms.stats.blocks_accessed == 6 * 40 * 8
+        for name in ("local_hits", "remote_fetches", "bytes_fetched"):
+            assert getattr(rms.stats, name) == sum(getattr(s, name) for s in sinks)
+        assert rms.cached_blocks <= 3

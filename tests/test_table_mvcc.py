@@ -190,3 +190,102 @@ class TestDatabase:
         )
         assert table.read_column_all("k").tolist() == [1, 2, 3]
         assert "layout" in events
+
+
+def reference_mask(data_slice, rows, txid):
+    """Visibility from the full xmin/xmax computation, no fast path."""
+    xmin = data_slice._xmin.values[rows]
+    xmax = data_slice._xmax.values[rows]
+    return (xmin <= txid) & (xmax > txid)
+
+
+def assert_masks_match(table, txids):
+    """Every slice's mask equals the reference, for whole and partial
+    ranges, with and without precomputed row ids."""
+    for data_slice in table.slices:
+        n = data_slice.num_rows
+        for ranges in (RangeList.full(n), RangeList([(1, 3), (5, n)])):
+            ranges = ranges.clip(0, n)
+            rows = ranges.to_row_ids()
+            for txid in txids:
+                expected = reference_mask(data_slice, rows, txid)
+                got = data_slice.visibility_mask(ranges, txid)
+                assert got.dtype == bool
+                assert got.tolist() == expected.tolist()
+                with_rows = data_slice.visibility_mask(ranges, txid, rows)
+                assert with_rows.tolist() == expected.tolist()
+
+
+class TestAllVisibleFastPath:
+    def test_append_only_slice_skips_mvcc_columns(self):
+        db = make_db(num_slices=1)
+        table = db.table("t")
+        table.insert({"k": np.arange(8), "v": np.zeros(8)}, db.begin())
+        data_slice = table.slices[0]
+        # The xmin/xmax gathers are not reached on the fast path.
+        data_slice._xmin = data_slice._xmax = None
+        assert data_slice.visibility_mask(RangeList.full(8), db.begin()).all()
+
+    def test_reader_older_than_newest_append(self):
+        db = make_db()
+        table = db.table("t")
+        tx1 = db.begin()
+        table.insert({"k": np.arange(12), "v": np.zeros(12)}, tx1)
+        tx2 = db.begin()
+        table.insert({"k": np.arange(12), "v": np.ones(12)}, tx2)
+        assert_masks_match(table, [tx1 - 1, tx1, tx2 - 1, tx2, db.begin()])
+        # The older reader does not see the second batch.
+        assert not table.slices[0].visibility_mask(
+            RangeList.full(table.slices[0].num_rows), tx1
+        ).all()
+
+    def test_delete_newer_than_reader(self):
+        db = make_db(num_slices=1)
+        table = db.table("t")
+        table.insert({"k": np.arange(10), "v": np.zeros(10)}, db.begin())
+        reader = db.begin()
+        delete_tx = db.begin()
+        table.delete_local_rows(0, np.array([2, 7]), delete_tx)
+        assert_masks_match(table, [reader, delete_tx, db.begin()])
+        assert table.slices[0].visibility_mask(RangeList.full(10), reader).all()
+
+    def test_after_update(self):
+        from repro.engine import QueryEngine
+
+        db = make_db()
+        table = db.table("t")
+        engine = QueryEngine(db)
+        engine.insert("t", {"k": np.arange(20), "v": np.zeros(20)})
+        before = db.current_txid
+        engine.execute("update t set v = 1.0 where k < 5")
+        assert_masks_match(table, [before, db.current_txid, db.begin()])
+
+    def test_after_vacuum(self):
+        db = make_db(num_slices=1, rows_per_block=4)
+        table = db.table("t")
+        table.insert({"k": np.arange(12), "v": np.zeros(12)}, db.begin())
+        early = db.begin()
+        table.delete_local_rows(0, np.array([0, 1]), early)
+        late = db.begin()
+        table.delete_local_rows(0, np.array([6]), late)
+        # Reclaims the early deletes only: row 6's stamp survives.
+        assert table.vacuum(late)
+        assert_masks_match(table, [early, late - 1, late, db.begin()])
+        assert table.vacuum(db.horizon_txid)
+        assert_masks_match(table, [early, late, db.begin()])
+        data_slice = table.slices[0]
+        data_slice._xmin = data_slice._xmax = None
+        assert data_slice.visibility_mask(RangeList.full(9), db.begin()).all()
+
+    def test_after_reorganize(self):
+        db = make_db(num_slices=1, rows_per_block=4)
+        table = db.table("t")
+        first = db.begin()
+        table.insert({"k": np.arange(10), "v": np.zeros(10)}, first)
+        second = db.begin()
+        table.insert({"k": np.arange(10, 14), "v": np.zeros(4)}, second)
+        deleted = db.begin()
+        table.delete_local_rows(0, np.array([3]), deleted)
+        table.reorganize(lambda t: [np.arange(t.slices[0].num_rows)[::-1]])
+        assert table.read_column_all("k").tolist() == list(range(13, -1, -1))
+        assert_masks_match(table, [first, second, deleted - 1, deleted, db.begin()])
