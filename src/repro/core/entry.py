@@ -150,8 +150,7 @@ class BitmapSliceState(SliceState):
             return RangeList.empty()
         # Merged runs of set bits, scaled to row ranges and clipped at the
         # watermark (the last block may be partial).
-        bounds = RangeList.from_mask(self.bits).bounds * self.block_size
-        bounds = bounds.copy()
+        bounds = RangeList.from_mask(self.bits, scale=self.block_size).bounds.copy()
         np.minimum(bounds[:, 1], self.last_cached_row, out=bounds[:, 1])
         return RangeList.from_bounds(bounds)
 

@@ -24,7 +24,7 @@ non-adjacent, no empty ranges — is expressed on the array as::
     bounds[:-1, 1] < bounds[1:, 0]       (strictly increasing, gaps > 0)
 
 Every set operation works directly on the bounds array (boundary merges,
-event sweeps, ``searchsorted``); :class:`RowRange` objects are only
+``searchsorted`` overlap search); :class:`RowRange` objects are only
 materialized on demand for iteration.  ``num_rows`` is computed once and
 cached.  See DESIGN.md ("Array-backed range representation") for the
 per-operation complexity.
@@ -160,31 +160,33 @@ class RangeList:
         return cls._wrap(_EMPTY_BOUNDS, 0)
 
     @classmethod
-    def from_mask(cls, mask: np.ndarray, offset: int = 0) -> "RangeList":
+    def from_mask(
+        cls, mask: np.ndarray, offset: int = 0, scale: int = 1
+    ) -> "RangeList":
         """Build a range list from a boolean qualification mask.
 
         This is what the vectorized scan produces: consecutive ``True``
         runs become ranges.  ``offset`` translates mask positions into
-        global row ids.
+        global row ids.  With ``scale`` > 1 each position stands for
+        ``scale`` rows (a block bitmap): run ``[s, e)`` becomes rows
+        ``[s * scale, e * scale)``, still normalized.
         """
         mask = np.asarray(mask, dtype=bool)
         if mask.size == 0 or not mask.any():
             return cls._wrap(_EMPTY_BOUNDS, 0)
-        # Run boundaries: diff of the int mask is +1 at run starts and
-        # -1 one past run ends.
-        diff = np.diff(mask.astype(np.int8))
-        starts = np.flatnonzero(diff == 1) + 1
-        ends = np.flatnonzero(diff == -1) + 1
-        if mask[0]:
-            starts = np.concatenate(([0], starts))
-        if mask[-1]:
-            ends = np.concatenate((ends, [mask.size]))
-        bounds = np.empty((len(starts), 2), dtype=np.int64)
-        bounds[:, 0] = starts
-        bounds[:, 1] = ends
+        if scale < 1:
+            raise ValueError(f"scale must be >= 1, got {scale}")
+        # Run boundaries are where the False-padded mask changes value;
+        # they alternate start, end, start, end, ...
+        padded = np.zeros(mask.size + 2, dtype=bool)
+        padded[1:-1] = mask
+        edges = np.flatnonzero(padded[1:] != padded[:-1])
+        bounds = edges.astype(np.int64, copy=False).reshape(-1, 2)
+        if scale != 1:
+            bounds *= scale
         if offset:
             bounds += offset
-        return cls._wrap(bounds, int(np.count_nonzero(mask)))
+        return cls._wrap(bounds, int(np.count_nonzero(mask)) * scale)
 
     @classmethod
     def from_rows(cls, rows: Sequence[int] | np.ndarray) -> "RangeList":
@@ -287,30 +289,32 @@ class RangeList:
         )
 
     def intersect(self, other: "RangeList") -> "RangeList":
-        """Rows in both lists (vectorized boundary sweep)."""
+        """Rows in both lists (overlap search, no sort)."""
         a, b = self._bounds, other._bounds
         if not len(a) or not len(b):
             return RangeList.empty()
-        # Event sweep over all boundaries: +1 at starts, -1 at ends,
-        # ends sorted before coincident starts (half-open semantics).
-        # Coverage 2 between consecutive events means "inside both".
-        points = np.concatenate((a[:, 0], b[:, 0], a[:, 1], b[:, 1]))
-        deltas = np.empty(len(points), dtype=np.int8)
-        half = len(a) + len(b)
-        deltas[:half] = 1
-        deltas[half:] = -1
-        order = np.lexsort((deltas, points))
-        points = points[order]
-        coverage = np.cumsum(deltas[order])
-        # Coverage changes at every event, so each maximal cov==2 region
-        # is a single inter-event segment; empty segments are dropped.
-        idx = np.flatnonzero(coverage == 2)
-        starts = points[idx]
-        ends = points[idx + 1]
-        keep = ends > starts
-        bounds = np.empty((int(np.count_nonzero(keep)), 2), dtype=np.int64)
-        bounds[:, 0] = starts[keep]
-        bounds[:, 1] = ends[keep]
+        if len(a) > len(b):
+            a, b = b, a
+        # Each range of the shorter list overlaps a contiguous run of the
+        # longer one: ranges ending after its start (``lo``) up to those
+        # starting before its end (``hi``).  Every such pair yields one
+        # non-empty piece; pieces of one short range are split by gaps
+        # of the long list and pieces of different short ranges by gaps
+        # of the short list, so the output is already normalized.
+        lo = np.searchsorted(b[:, 1], a[:, 0], side="right")
+        hi = np.searchsorted(b[:, 0], a[:, 1], side="left")
+        counts = hi - lo
+        total = int(counts.sum())
+        if not total:
+            return RangeList.empty()
+        a_idx = np.repeat(np.arange(len(a)), counts)
+        # Pair k of short range i maps to long range lo[i] + (k - first
+        # pair of i); one repeat of that offset plus a global arange.
+        first = np.cumsum(counts) - counts
+        b_idx = np.arange(total) + np.repeat(lo - first, counts)
+        bounds = np.empty((total, 2), dtype=np.int64)
+        np.maximum(a[a_idx, 0], b[b_idx, 0], out=bounds[:, 0])
+        np.minimum(a[a_idx, 1], b[b_idx, 1], out=bounds[:, 1])
         return RangeList._wrap(bounds)
 
     def difference(self, other: "RangeList") -> "RangeList":

@@ -782,7 +782,8 @@ def _scan_slice(
             # set is padded with the complement — a false-positive-only
             # superset of the conjunct's truth whatever basis restricted
             # this scan (zone-map-pruned rows included; they re-prune).
-            complement = candidates.complement(num_rows)
+            # Built as the complement of the evaluated rows the conjunct
+            # rejects: the same set as truth ∪ ¬candidates, no union.
             conjunct_lists: List[RangeList] = []
             for conjunct in conjunct_predicates:
                 c_mask = conjunct.evaluate(batch)
@@ -790,7 +791,7 @@ def _scan_slice(
                     c_mask = np.full(candidates.num_rows, bool(c_mask))
                 c_mask = c_mask & vis_mask
                 conjunct_lists.append(
-                    RangeList.from_rows(row_ids[c_mask]).union(complement)
+                    RangeList.from_rows(row_ids[~c_mask]).complement(num_rows)
                 )
             extras.conjunct_lists = conjunct_lists
 

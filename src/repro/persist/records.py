@@ -30,7 +30,7 @@ import numpy as np
 from ..core.entry import BitmapSliceState, CacheEntry, RangeSliceState, SliceState
 from ..core.keys import ScanKey, SemiJoinDescriptor
 from ..core.rowrange import RangeList
-from ..engine.hashing import fnv1a_hash
+from ..engine.hashing import fnv1a_digest
 
 __all__ = [
     "StateRecord",
@@ -45,7 +45,7 @@ __all__ = [
 def key_digest(key: ScanKey) -> int:
     """Stable 64-bit digest of a scan key (FNV-1a over the canonical
     string) — process-independent, unlike builtin ``hash``."""
-    return int(fnv1a_hash(np.array([key.key()], dtype=object))[0])
+    return fnv1a_digest(key.key())
 
 
 def key_to_obj(key: ScanKey) -> dict:

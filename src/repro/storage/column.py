@@ -249,6 +249,4 @@ class ColumnStore:
         # Scale merged block-index runs into row ranges in one shot;
         # adjacent pruned blocks collapse into a single range, exactly
         # like the per-block constructor used to produce.
-        return RangeList.from_bounds(
-            RangeList.from_mask(pruned).bounds * self.rows_per_block
-        )
+        return RangeList.from_mask(pruned, scale=self.rows_per_block)

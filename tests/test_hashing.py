@@ -9,8 +9,10 @@ import sys
 
 import numpy as np
 
+from repro.core.keys import ScanKey, SemiJoinDescriptor, conjunct_key
 from repro.engine.bloom import BloomFilter
-from repro.engine.hashing import fnv1a_hash, stable_int_keys
+from repro.engine.hashing import fnv1a_digest, fnv1a_hash, stable_int_keys
+from repro.persist.records import key_digest
 
 # Reference FNV-1a 64-bit digests (computed independently, byte by byte).
 _KNOWN = {
@@ -58,6 +60,63 @@ class TestFnv1a:
         assert np.array_equal(
             stable_int_keys(as_object), stable_int_keys(as_unicode)
         )
+
+
+def _signed(value: int) -> int:
+    return value - (1 << 64) if value >= 1 << 63 else value
+
+
+class TestNulBytes:
+    """A NUL inside a key is skipped in every batch.  Stopping at a byte
+    column that is NUL for every key instead makes ``'a\\x00b'`` hash as
+    ``'a'`` alone but as ``'ab'`` beside a longer key, and a Bloom
+    filter built in one batch then rejects the key probed in another."""
+
+    def test_interior_nul_is_batch_independent(self):
+        alone = fnv1a_hash(np.array(["a\x00b"], dtype=object))[0]
+        beside = fnv1a_hash(np.array(["a\x00b", "xyz"], dtype=object))[0]
+        assert alone == beside
+        assert int(alone) == _signed(_fnv1a_reference("ab"))
+
+    def test_nul_keys_hash_like_their_scalar_digest(self):
+        values = ["a\x00b", "\x00x", "x\x00\x00y", "a\x00", "\x00", "plain"]
+        for batch in (values, values[::-1], values + ["w" * 30]):
+            hashed = fnv1a_hash(np.array(batch, dtype=object))
+            for text, got in zip(batch, hashed):
+                assert int(got) == fnv1a_digest(text)
+
+    def test_bloom_built_in_one_batch_accepts_probe_from_another(self):
+        bloom = BloomFilter(expected_items=4)
+        bloom.add_many(stable_int_keys(np.array(["a\x00b"], dtype=object)))
+        probe = stable_int_keys(np.array(["a\x00b", "longer key"], dtype=object))
+        assert bloom.may_contain(probe)[0]
+
+
+class TestScalarDigest:
+    def test_matches_vectorized_hash(self):
+        values = ["", "a", "foobar", "éclair", "x" * 300, "promo#12", "a b c"]
+        hashed = fnv1a_hash(np.array(values, dtype=object))
+        for text, got in zip(values, hashed):
+            assert fnv1a_digest(text) == int(got)
+            assert fnv1a_digest(text) == _signed(_fnv1a_reference(text))
+
+    def test_key_digests_pinned(self):
+        """Persisted digests (snapshot format v2, journal drop events)
+        must never change, or existing snapshots stop loading."""
+        plain = ScanKey("lineorder", "(lo_discount >= 1 AND lo_quantity < 25)")
+        conjunct = conjunct_key("lineorder", "lo_quantity < 25")
+        joined = ScanKey(
+            "lineorder",
+            "lo_orderdate >= 19940101",
+            (
+                SemiJoinDescriptor(
+                    "lo_custkey = c_custkey", "customer", "c_region = 'ASIA'"
+                ),
+            ),
+        )
+        assert key_digest(plain) == -1066568043475051000
+        assert key_digest(conjunct) == -2643539535825619207
+        assert key_digest(joined) == 3175287772100029319
 
 
 class TestCrossProcessDeterminism:

@@ -270,6 +270,71 @@ def test_drilldown_bit_identical_and_reuse_exercised(variant, workers):
     invariants.check_cache(cached.predicate_cache)
 
 
+def test_conjunct_lists_equal_union_of_truth_and_complement(monkeypatch):
+    """``_scan_slice`` builds each padded conjunct list as the complement
+    of the candidate rows the conjunct rejects.  On reuse-served scans
+    (and plain misses), that must equal the union form it replaced:
+    ``truth ∪ ¬candidates``, with truth = conjunct ∧ visible."""
+    import repro.engine.scan as scan_module
+
+    real_scan, real_prune = scan_module._scan_slice, scan_module._prune_with_zonemaps
+    pruned = []
+    checked = {"served": 0, "lists": 0}
+
+    def prune(*args, **kwargs):
+        pruned.append(real_prune(*args, **kwargs))
+        return pruned[-1]
+
+    def scan_slice(table, data_slice, slice_id, predicate, semijoins, txid,
+                   counters, entry, scan_columns, gather_columns,
+                   conjunct_predicates=()):
+        pruned.clear()
+        result = real_scan(
+            table, data_slice, slice_id, predicate, semijoins, txid,
+            counters, entry, scan_columns, gather_columns, conjunct_predicates,
+        )
+        lists = result[3].conjunct_lists
+        if lists is None:
+            return result
+        (candidates,) = pruned
+        num_rows = data_slice.num_rows
+        row_ids = candidates.to_row_ids()
+        batch = {
+            name: data_slice.columns[name].read_ranges(
+                candidates, table.rms, row_ids
+            )
+            for name in scan_columns
+        }
+        visible = data_slice.visibility_mask(candidates, txid, row_ids)
+        complement = candidates.complement(num_rows)
+        assert len(lists) == len(conjunct_predicates)
+        for conjunct, got in zip(conjunct_predicates, lists):
+            c_mask = np.broadcast_to(
+                conjunct.evaluate(batch), row_ids.shape
+            ) & visible
+            expected = RangeList.from_rows(row_ids[c_mask]).union(complement)
+            assert got == expected, f"slice {slice_id}: {conjunct}"
+            checked["lists"] += 1
+        if getattr(entry, "ephemeral", False):
+            checked["served"] += 1
+        return result
+
+    monkeypatch.setattr(scan_module, "_prune_with_zonemaps", prune)
+    monkeypatch.setattr(scan_module, "_scan_slice", scan_slice)
+    cached, plain = build_twins(reuse_config())
+    predicates = drilldown_steps(rounds=3, seed=9)
+    for i, where in enumerate(predicates):
+        sql = f"select k, v, w from t where {where}"
+        assert_rows_equal(
+            cached.execute(sql).rows(), plain.execute(sql).rows(), sql
+        )
+        if i % 4 == 3:  # deleted rows: invisible rows are never truth
+            for engine in (cached, plain):
+                engine.delete_where("t", parse_predicate(f"k = {i}"))
+    assert checked["served"] > 0, "no reuse-served scan — vacuous"
+    assert checked["lists"] > checked["served"]
+
+
 def test_worker_counts_agree_on_counters():
     """Reuse serving is bit-identical serial vs parallel, including the
     recheck/skip accounting done at the coordinator barrier."""

@@ -1,7 +1,7 @@
 """Property suite: every RangeList operation against a boolean-mask oracle.
 
 The array-backed RangeList implements its set algebra with boundary
-merges and event sweeps; the oracle re-derives every answer from plain
+merges and ``searchsorted`` overlap searches; the oracle re-derives every answer from plain
 boolean masks over the row domain, where union/intersection/difference/
 complement are just ``|``/``&``/``& ~``/``~``.  Any divergence between
 the two is a bug in the vectorized algebra.
@@ -9,6 +9,8 @@ the two is a bug in the vectorized algebra.
 The strategies deliberately overweight the edge cases the sweep logic
 has to get right: empty ranges, adjacent ranges (end == next start),
 single-row ranges, and coincident boundaries between the two operands.
+Lopsided operands (a long list against a list of a few ranges, in both
+orders) exercise the shorter/longer swap of the overlap search.
 """
 
 import numpy as np
@@ -79,6 +81,20 @@ def test_from_mask_roundtrip(bits):
     assert rl.num_rows == int(mask.sum())
 
 
+@given(
+    st.lists(st.booleans(), max_size=32), st.integers(0, 20), st.integers(1, 5)
+)
+@settings(max_examples=300, deadline=None)
+def test_from_mask_offset_and_scale(bits, offset, scale):
+    mask = np.array(bits, dtype=bool)
+    rl = RangeList.from_mask(mask, offset=offset, scale=scale)
+    assert_normalized(rl)
+    expected = np.zeros(DOMAIN, dtype=bool)
+    expected[offset:offset + len(mask) * scale] = np.repeat(mask, scale)
+    assert np.array_equal(as_mask(rl), expected)
+    assert rl.num_rows == int(expected.sum())
+
+
 @given(st.lists(st.integers(0, DOMAIN - 1), max_size=40))
 @settings(max_examples=300, deadline=None)
 def test_from_rows_matches_oracle(rows):
@@ -124,6 +140,55 @@ def test_difference_matches_oracle(a_pairs, b_pairs):
     assert np.array_equal(
         as_mask(result), oracle_mask(a_pairs) & ~oracle_mask(b_pairs)
     )
+
+
+LONG_DOMAIN = 2048  # oracle domain of the lopsided operands
+
+
+def _chain(steps):
+    """Ranges laid end to end from ``(gap, length)`` steps; gap 0 makes
+    adjacent ranges and length 0 empty ones."""
+    pairs, cursor = [], 0
+    for gap, length in steps:
+        cursor += gap
+        pairs.append((cursor, cursor + length))
+        cursor += length
+    return pairs
+
+
+long_lists = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=200
+).map(_chain)
+short_lists = st.lists(
+    st.tuples(st.integers(0, 1900), st.integers(0, 300)).map(
+        lambda t: (t[0], t[0] + t[1])
+    ),
+    max_size=3,
+)
+
+
+@given(long_lists, short_lists)
+@settings(max_examples=300, deadline=None)
+def test_lopsided_intersect_and_difference_match_oracle(long_pairs, short_pairs):
+    def mask(pairs):
+        out = np.zeros(LONG_DOMAIN, dtype=bool)
+        for start, end in pairs:
+            out[start:end] = True
+        return out
+
+    long_rl, short_rl = RangeList(long_pairs), RangeList(short_pairs)
+    long_mask, short_mask = mask(long_pairs), mask(short_pairs)
+    for a, b, a_mask, b_mask in (
+        (long_rl, short_rl, long_mask, short_mask),
+        (short_rl, long_rl, short_mask, long_mask),
+    ):
+        both = a.intersect(b)
+        assert_normalized(both)
+        assert np.array_equal(both.to_mask(LONG_DOMAIN), a_mask & b_mask)
+        assert both.num_rows == int((a_mask & b_mask).sum())
+        only = a.difference(b)
+        assert_normalized(only)
+        assert np.array_equal(only.to_mask(LONG_DOMAIN), a_mask & ~b_mask)
 
 
 @given(pair_lists, st.integers(0, DOMAIN))

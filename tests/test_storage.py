@@ -1,6 +1,8 @@
 """Storage engine: zone maps, column stores, managed storage."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.rowrange import RangeList
 from repro.storage.column import ColumnStore, GrowableArray
@@ -85,6 +87,158 @@ class TestZoneMap:
         zm.append_block(np.array([1]))
         zm.append_block(np.array([2]))
         assert zm.nbytes == 32
+
+
+# Values near the float64 exactness edge (2**53) and the int64 limits
+# make numpy and Python comparisons differ if the vectorized path ever
+# compares where it should defer to ZoneEntry.may_contain.
+_EDGE_INTS = [2**53, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)]
+_ints = st.one_of(st.integers(-20, 20), st.sampled_from(_EDGE_INTS))
+_floats = st.one_of(
+    st.sampled_from([-2.5, 0.0, 0.5, 3.0, 7.25, float(2**53)]),
+    st.floats(-20, 20),
+    st.just(float("nan")),
+    st.just(float("inf")),
+)
+_strings = st.text(alphabet="abcxyz", max_size=3)
+
+
+def _block(draw_kind, values):
+    if draw_kind == "int":
+        return np.array(values, dtype=np.int64)
+    if draw_kind == "float":
+        return np.array(values, dtype=np.float64)
+    return np.array(values, dtype=object)
+
+
+_typed_blocks = {
+    "small int": st.lists(st.integers(-20, 20), min_size=1, max_size=4).map(
+        lambda v: _block("int", v)
+    ),
+    "edge int": st.lists(_ints, min_size=1, max_size=3).map(
+        lambda v: _block("int", v)
+    ),
+    "float": st.lists(_floats, min_size=1, max_size=3).map(
+        lambda v: _block("float", v)
+    ),
+    "str": st.lists(_strings, min_size=1, max_size=3).map(
+        lambda v: _block("obj", v)
+    ),
+}
+_blocks = st.one_of(
+    *_typed_blocks.values(),
+    # Python ints past int64, mixed int/float, incomparable and empty.
+    st.just(_block("obj", [1, 2**70])),
+    st.just(_block("obj", [1, 2.5])),
+    st.just(_block("obj", [1, "a"])),
+    st.just(_block("obj", [True, False])),
+    st.just(_block("int", [])),
+)
+# Zone maps of one column type take the array path; mixed ones do not.
+_zone_maps = st.one_of(
+    st.sampled_from(list(_typed_blocks.values())).flatmap(
+        lambda blocks: st.lists(blocks, max_size=12)
+    ),
+    st.lists(_blocks, max_size=12),
+)
+_bound_values = st.one_of(
+    st.none(), _ints, _floats, _strings, st.booleans(), st.just(2**70)
+)
+_bounds = st.builds(
+    Bounds, _bound_values, _bound_values, st.booleans(), st.booleans()
+)
+
+
+class TestZoneMapVectorized:
+    """``pruned_blocks`` answers with array comparisons where that is
+    exact; it must agree with the per-entry ``may_contain`` rule on
+    every block, bound type, endpoint strictness and truncation."""
+
+    @staticmethod
+    def per_entry(zm, bounds):
+        return [not zm[i].may_contain(bounds) for i in range(len(zm))]
+
+    @given(_zone_maps, st.lists(_bounds, min_size=1, max_size=4))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_entry_oracle(self, blocks, bounds_list):
+        zm = ZoneMap()
+        for values in blocks:
+            zm.append_block(values)
+        for bounds in bounds_list:
+            got = zm.pruned_blocks(bounds)
+            assert got.dtype == bool and len(got) == len(blocks)
+            assert got.tolist() == self.per_entry(zm, bounds)
+
+    @given(_zone_maps, st.integers(0, 12), st.lists(_blocks, max_size=4), _bounds)
+    @settings(max_examples=200, deadline=None)
+    def test_truncate_then_append(self, blocks, keep, more, bounds):
+        zm = ZoneMap()
+        for values in blocks:
+            zm.append_block(values)
+        zm.pruned_blocks(bounds)  # builds the arrays before truncating
+        zm.truncate(keep)
+        for values in more:
+            zm.append_block(values)
+        assert len(zm) == min(keep, len(blocks)) + len(more)
+        assert zm.pruned_blocks(bounds).tolist() == self.per_entry(zm, bounds)
+
+    def test_examples(self):
+        zm = ZoneMap()
+        zm.append_block(np.array([0, 9]))
+        zm.append_block(np.array([0.5, 1.5]))
+        zm.append_block(np.array(["apple", "pear"], dtype=object))
+        zm.append_block(np.array([], dtype=np.int64))
+        assert zm.pruned_blocks(Bounds(hi=0, hi_strict=True)).tolist() == [
+            True, True, False, False,
+        ]
+        assert zm.pruned_blocks(Bounds(hi=0)).tolist() == [
+            False, True, False, False,
+        ]
+        # A string bound: numeric blocks cannot be ordered against it.
+        assert zm.pruned_blocks(Bounds(lo="q")).tolist() == [
+            False, False, True, False,
+        ]
+        assert zm.pruned_blocks(Bounds(lo=9.5)).tolist() == [
+            True, True, False, False,
+        ]
+
+    def test_float_exactness_edges(self):
+        """Every pairing of edge blocks and edge bounds, exhaustively:
+        near 2**53 a float64 comparison rounds where Python's does not."""
+        int_blocks = [[2**53 + 1], [2**53], [-(2**53) - 1], [2**63 - 1], [3, 9]]
+        float_blocks = [[float(2**53)], [2.5, 7.0], [float("nan")]]
+        edges = [
+            None, float(2**53), 2**53 + 1, 2**53, 2.5, 3, float("nan"),
+            float("inf"), 2**70, True, "a",
+        ]
+        zone_maps = [[b] for b in int_blocks] + [int_blocks]
+        zone_maps += [[b] for b in float_blocks] + [float_blocks]
+        for blocks in zone_maps:
+            zm = ZoneMap()
+            for values in blocks:
+                dtype = np.int64 if isinstance(values[0], int) else np.float64
+                zm.append_block(np.array(values, dtype=dtype))
+            for lo in edges:
+                for hi in edges:
+                    for lo_strict in (False, True):
+                        for hi_strict in (False, True):
+                            bounds = Bounds(lo, hi, lo_strict, hi_strict)
+                            assert zm.pruned_blocks(bounds).tolist() == (
+                                self.per_entry(zm, bounds)
+                            ), (blocks, bounds)
+
+    def test_column_types_take_the_array_path(self):
+        for values in ([3, 9], [0.5, 1.5], ["apple", "pear"]):
+            zm = ZoneMap()
+            zm.append_block(np.array(values, dtype=object))
+            zm.append_block(np.array(values, dtype=object))
+            assert zm.pruned_blocks(Bounds(lo=values[1])).tolist() == [
+                False, False,
+            ]
+            assert zm._arrays, values
+            # A side whose bound is of the other kind never prunes:
+            # numbers cannot be ordered against strings.
+            assert not zm.pruned_blocks(Bounds(lo="zz", hi=5)).any()
 
 
 def make_column(values, rows_per_block=10, dtype=DataType.INT64):
